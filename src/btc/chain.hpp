@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "btc/block.hpp"
+#include "btc/txid_map.hpp"
 
 namespace cn::btc {
 
@@ -66,7 +66,7 @@ class Chain {
   std::vector<Block> blocks_;
   std::uint64_t next_height_ = 0;
   std::uint64_t total_txs_ = 0;
-  std::unordered_map<Txid, TxLocation> tx_index_;
+  TxidMap<TxLocation> tx_index_;
 };
 
 }  // namespace cn::btc

@@ -37,6 +37,7 @@
 #include "btc/chain.hpp"
 #include "btc/coinbase_tags.hpp"
 #include "btc/intern.hpp"
+#include "btc/txid_map.hpp"
 #include "core/audit_dataset.hpp"
 #include "core/data_quality.hpp"
 #include "core/neutrality.hpp"
@@ -95,19 +96,20 @@ struct AuditOptions {
   const btc::AddressTable* interned_addresses = nullptr;
   /// Optional dataset a loader already holds (a CNB1 file's derived
   /// sections, io::DatasetHandle::prebuilt_for). When set, the build
-  /// stage adopts it instead of calling AuditDataset::build — the
-  /// dominant cost of an audit becomes a column copy. The caller
+  /// stage borrows it through AuditContext::dataset instead of calling
+  /// AuditDataset::build — no column is copied. The caller
   /// guarantees it was built from this chain under this registry (the
   /// fingerprint gate in prebuilt_for enforces the registry half); it
   /// must outlive the run_full_audit call. Columnar engine only; the
   /// legacy oracle never touches a dataset.
   const AuditDataset* prebuilt_dataset = nullptr;
-  /// Optional observer first-seen log (txid -> first-seen time; the
-  /// underlying type of io::FirstSeenMap — core stays io-free). When
-  /// set, the "withholding" stage runs the block-vs-mempool withholding
-  /// detector (core/withholding.hpp); when null the stage is a no-op and
-  /// the rendered report is unchanged. Must outlive run_full_audit.
-  const std::unordered_map<btc::Txid, SimTime>* first_seen = nullptr;
+  /// Optional observer first-seen log (txid -> first-seen time, a
+  /// btc::TxidMap; io::FirstSeenMap names the same type, so core stays
+  /// io-free). When set, the "withholding" stage runs the
+  /// block-vs-mempool withholding detector (core/withholding.hpp); when
+  /// null the stage is a no-op and the rendered report is unchanged.
+  /// Must outlive run_full_audit.
+  const btc::TxidMap<SimTime>* first_seen = nullptr;
   /// Thresholds for the withholding detector.
   WithholdingOptions withholding;
 };
@@ -134,7 +136,11 @@ struct AuditContext {
   const btc::CoinbaseTagRegistry& registry;
   const DataQualityReport* quality = nullptr;
   PoolAttribution attribution;
-  AuditDataset dataset;
+  /// The columnar dataset: AuditOptions::prebuilt_dataset when one was
+  /// supplied (borrowed, not copied), else &built.
+  const AuditDataset* dataset = nullptr;
+  /// Storage for a dataset the build stage derived itself.
+  AuditDataset built;
   /// Pools with hash share >= AuditOptions::min_share, by blocks desc.
   std::vector<PoolId> pools;
   /// PoolId-indexed mean effective coverage (1.0 without quality data).

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "btc/chain.hpp"
+#include "btc/txid_map.hpp"
 #include "node/snapshot.hpp"
 
 namespace cn::core {
@@ -66,7 +67,7 @@ struct DataQualityReport {
 /// behaviour); present-but-gappy evidence does.
 DataQualityReport assess_data_quality(
     const btc::Chain& chain, const node::SnapshotSeries* snapshots,
-    const std::unordered_map<btc::Txid, SimTime>* first_seen,
+    const btc::TxidMap<SimTime>* first_seen,
     const QualityOptions& options = {});
 
 }  // namespace cn::core

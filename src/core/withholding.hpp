@@ -21,10 +21,10 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "btc/chain.hpp"
+#include "btc/txid_map.hpp"
 #include "core/wallet_inference.hpp"
 #include "util/time.hpp"
 
@@ -62,13 +62,13 @@ struct WithholdingReport {
 };
 
 /// Runs the detector over every attributed pool. @p first_seen maps each
-/// transaction to the observer's first-seen time (io::FirstSeenMap's
-/// underlying type; core stays io-free). Deterministic: pools are
+/// transaction to the observer's first-seen time (btc::TxidMap, the type
+/// io::FirstSeenMap names; core stays io-free). Deterministic: pools are
 /// reported in attribution order, then sorted worst first (p ascending,
 /// rate descending, name).
 std::vector<WithholdingReport> withholding_reports(
     const btc::Chain& chain, const PoolAttribution& attribution,
-    const std::unordered_map<btc::Txid, SimTime>& first_seen,
+    const btc::TxidMap<SimTime>& first_seen,
     const WithholdingOptions& options = {});
 
 }  // namespace cn::core

@@ -110,9 +110,11 @@ void HttpServer::serve_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     handle_connection(fd);
-    ::close(fd);
+    // Count before closing: a client that has read the response to EOF
+    // must already see it in requests_served().
     requests.add();
     served_.fetch_add(1);
+    ::close(fd);
   }
 }
 

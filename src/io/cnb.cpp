@@ -23,11 +23,9 @@ namespace cn::io {
 
 namespace {
 
-/// Below these sizes the loader stays strictly single-threaded: spawning
-/// helpers costs more than the work they would absorb, and the many tiny
-/// fixture files in the test suite stay allocation-light.
+/// Below this file size the section checksums are folded on the calling
+/// thread: a pool of folders costs more than the hashing it would absorb.
 constexpr std::uint64_t kParallelLoadBytes = 8u << 20;
-constexpr std::uint64_t kParallelLoadTxs = 1u << 16;
 
 /// Load/store telemetry (DESIGN.md §10), mirroring io.ingest.*.
 struct CnbMetrics {
@@ -649,14 +647,23 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   LoadResult<DatasetHandle> result;
   CnbLoad load{policy, path, {}, false};
   load.report.policy = policy;
-  // The chain rebuild may still be running on a helper thread (see
-  // below); every exit joins it first so it never outlives the locals
-  // it reads.
+  // The chain rebuild and the address interning may still be running on
+  // helper threads (see below); every exit joins both first so neither
+  // outlives the locals it reads. Both are waited for before either
+  // result is taken, so an exception from one cannot unwind past the
+  // other while it still reads the mapping.
   std::future<void> rebuild;
+  std::future<void> intern;
+  const auto join_helpers = [&] {
+    if (rebuild.valid()) rebuild.wait();
+    if (intern.valid()) intern.wait();
+    if (rebuild.valid()) rebuild.get();
+    if (intern.valid()) intern.get();
+  };
   // Returns an xvalue so every `return finish();` moves the handle out —
   // a plain lvalue reference here would deep-copy the whole chain.
   const auto finish = [&]() -> LoadResult<DatasetHandle>&& {
-    if (rebuild.valid()) rebuild.get();
+    join_helpers();
     CnbMetrics& m = cnb_metrics();
     m.loads.add();
     if (!result.value.has_value()) m.loads_failed.add();
@@ -1008,13 +1015,15 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
   // inserts into a pre-sized table; without them it re-seals, re-hashing
   // every txid (the dominant rebuild cost before the fast path).
   //
-  // The rebuild reads only the mapped relational columns and writes only
-  // handle.chain / handle.addresses; the optional groups below read the
-  // same columns and write the *other* handle members. Multi-core hosts
-  // therefore overlap the two on a helper thread — finish() and the tail
-  // join before anything observes the handle (or unmaps the file). On a
-  // single core the helper would only add context switches, so the
-  // rebuild runs inline.
+  // The rebuild and the interning read only the mapped relational
+  // columns and write only handle.chain and handle.addresses
+  // respectively; the optional groups below read the same columns and
+  // write the *other* handle members. Multi-core hosts therefore run the
+  // rebuild and the interning on two helper threads, at every file size,
+  // overlapping each other and the optional groups — finish() and the
+  // tail join both before anything observes the handle (or unmaps the
+  // file). On a single core the helpers would only add context switches,
+  // so both run inline.
   const bool adopt_headers = merkle_root != nullptr;
   const auto rebuild_chain = [&, adopt_headers] {
     handle.chain = btc::Chain(genesis_height);
@@ -1053,6 +1062,8 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
       }
       handle.chain.append(std::move(block));
     }
+  };
+  const auto intern_addresses = [&] {
     for (std::uint64_t b = 0; b < nb; ++b) {
       handle.addresses.intern(btc::Address{reward_addr[b]});
     }
@@ -1063,10 +1074,12 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
       handle.addresses.intern(btc::Address{out_to[o]});
     }
   };
-  if (nt >= kParallelLoadTxs && util::resolve_threads(0) > 1) {
+  if (util::resolve_threads(0) > 1) {
     rebuild = std::async(std::launch::async, rebuild_chain);
+    intern = std::async(std::launch::async, intern_addresses);
   } else {
     rebuild_chain();
+    intern_addresses();
   }
 
   // --- optional: snapshots ---
@@ -1106,21 +1119,24 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
 
   // --- optional: first-seen ---
   if (flags & kCnbFlagFirstSeen) {
+    // Read straight out of the verified mapping, like the relational
+    // columns above.
     group_ok = true;
-    std::vector<btc::Txid> fs_txid;
-    std::vector<SimTime> fs_time;
+    const btc::Txid* fs_txid = nullptr;
+    const SimTime* fs_time = nullptr;
+    std::uint64_t nfs = 0;
     if (const Verified* v =
             take(CnbSection::kFirstSeenTxid, 32, std::nullopt, false)) {
-      fs_txid = copy_column<btc::Txid>(v->data, v->size);
+      fs_txid = reinterpret_cast<const btc::Txid*>(v->data);
+      nfs = v->size / 32;
     }
-    if (const Verified* v =
-            take(CnbSection::kFirstSeenTime, 8, fs_txid.size(), false)) {
-      fs_time = copy_column<SimTime>(v->data, v->size);
+    if (const Verified* v = take(CnbSection::kFirstSeenTime, 8, nfs, false)) {
+      fs_time = reinterpret_cast<const SimTime*>(v->data);
     }
     if (group_ok && !load.fatal) {
       FirstSeenMap first_seen;
-      first_seen.reserve(fs_txid.size());
-      for (std::size_t i = 0; i < fs_txid.size(); ++i) {
+      first_seen.reserve(nfs);
+      for (std::uint64_t i = 0; i < nfs; ++i) {
         first_seen.emplace(fs_txid[i], fs_time[i]);
       }
       handle.first_seen = std::move(first_seen);
@@ -1292,7 +1308,7 @@ LoadResult<DatasetHandle> read_cnb(const std::string& path,
     if (load.fatal) return finish();
   }
 
-  if (rebuild.valid()) rebuild.get();
+  join_helpers();
   result.value = std::move(handle);
   return finish();
 }

@@ -28,10 +28,10 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 
 #include "btc/chain.hpp"
 #include "btc/intern.hpp"
+#include "btc/txid_map.hpp"
 #include "io/load_report.hpp"
 #include "node/snapshot.hpp"
 
@@ -65,7 +65,11 @@ bool export_snapshots(const node::SnapshotSeries& series, const std::string& pat
 LoadResult<node::SnapshotSeries> import_snapshots(const std::string& path,
                                                   LoadPolicy policy);
 
-using FirstSeenMap = std::unordered_map<btc::Txid, SimTime>;
+/// The observer's first-seen log: txid -> first time it was seen. A
+/// btc::TxidMap iterates in insertion order (file order on import, accept
+/// order in the simulator); both exporters sort by txid, so written bytes
+/// never depend on that order. On a duplicate txid the first entry wins.
+using FirstSeenMap = btc::TxidMap<SimTime>;
 bool export_first_seen(const FirstSeenMap& first_seen, const std::string& path,
                        std::string* error = nullptr);
 LoadResult<FirstSeenMap> import_first_seen(const std::string& path,

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "btc/block.hpp"
+#include "btc/txid_map.hpp"
 #include "node/mempool.hpp"
 #include "node/snapshot.hpp"
 
@@ -41,7 +41,7 @@ class ObserverNode {
   std::optional<SimTime> first_seen(const btc::Txid& id) const noexcept;
 
   /// Full first-seen log (for data-set export).
-  const std::unordered_map<btc::Txid, SimTime>& first_seen_map() const noexcept {
+  const btc::TxidMap<SimTime>& first_seen_map() const noexcept {
     return first_seen_;
   }
 
@@ -54,7 +54,7 @@ class ObserverNode {
  private:
   Mempool mempool_;
   SnapshotSeries series_;
-  std::unordered_map<btc::Txid, SimTime> first_seen_;
+  btc::TxidMap<SimTime> first_seen_;
   std::uint64_t below_floor_ = 0;
 };
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <string>
 
+#include "../helpers.hpp"
 #include "btc/intern.hpp"
 #include "core/audit_pipeline.hpp"
 #include "core/data_quality.hpp"
@@ -77,8 +78,8 @@ TEST_F(AuditDifferentialTest, EnginesRenderIdenticalBytesAtEveryThreadCount) {
 }
 
 TEST_F(AuditDifferentialTest, EnginesAgreeOnCorruptedLenientLoad) {
-  const std::string clean = ::testing::TempDir() + "/cn_diff_clean";
-  const std::string dirty = ::testing::TempDir() + "/cn_diff_dirty";
+  const std::string clean = cn::test::unique_temp_path("cn_diff_clean");
+  const std::string dirty = cn::test::unique_temp_path("cn_diff_dirty");
   std::filesystem::remove_all(clean);
   std::filesystem::remove_all(dirty);
   ASSERT_TRUE(io::export_chain(world_->chain, clean));
@@ -116,7 +117,7 @@ TEST_F(AuditDifferentialTest, EnginesAgreeOnCorruptedLenientLoad) {
 }
 
 TEST_F(AuditDifferentialTest, ImporterInternedTableChangesNothing) {
-  const std::string dir = ::testing::TempDir() + "/cn_diff_intern";
+  const std::string dir = cn::test::unique_temp_path("cn_diff_intern");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(io::export_chain(world_->chain, dir));
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "../helpers.hpp"
+
 namespace cn::core {
 namespace {
 
@@ -18,7 +20,7 @@ TEST(FormatPValue, ThresholdsAndPrecision) {
 }
 
 TEST(WriteCdfCsv, ProducesHeaderAndMonotoneRows) {
-  const std::string path = ::testing::TempDir() + "/cn_cdf.csv";
+  const std::string path = cn::test::unique_temp_path("cn_cdf", ".csv");
   std::vector<double> samples;
   for (int i = 0; i < 100; ++i) samples.push_back(static_cast<double>(i));
   const stats::Ecdf ecdf{std::span<const double>(samples)};

@@ -106,7 +106,7 @@ TEST(AuditDaemon, RestartFromCheckpointConvergesByteIdentically) {
   const io::DatasetHandle feed = make_feed();
   const std::string ref = reference_report(feed);
   const std::string ckpt =
-      ::testing::TempDir() + "/cn_daemon_restart.ckpt";
+      cn::test::unique_temp_path("cn_daemon_restart", ".ckpt");
   std::filesystem::remove(ckpt);
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
 
@@ -149,7 +149,7 @@ TEST(AuditDaemon, RestartFromCheckpointConvergesByteIdentically) {
 TEST(AuditDaemon, TornCheckpointIsRejectedAndColdStarts) {
   const io::DatasetHandle feed = make_feed();
   const std::string ref = reference_report(feed);
-  const std::string ckpt = ::testing::TempDir() + "/cn_daemon_torn.ckpt";
+  const std::string ckpt = cn::test::unique_temp_path("cn_daemon_torn", ".ckpt");
   {
     std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
     out << "CNCP1 but torn to shreds";

@@ -1,6 +1,10 @@
 // Shared fixtures/builders for the test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,6 +14,20 @@
 #include "btc/transaction.hpp"
 
 namespace cn::test {
+
+/// A scratch path under ::testing::TempDir() that no other test case or
+/// process shares: `<TempDir>/<stem>_<Suite>_<Test>_<pid><ext>`. ctest
+/// runs every discovered case as its own process, in parallel under
+/// `ctest -j`, so a fixed file name would race between cases.
+inline std::string unique_temp_path(const std::string& stem,
+                                    const std::string& ext = "") {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "_" + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + "/" + stem + "_" + name + "_" +
+         std::to_string(::getpid()) + ext;
+}
 
 /// A simple 1-in/1-out payment with the given fee-rate (sat/vB).
 inline btc::Transaction tx_with_rate(double sat_per_vb, std::uint32_t vsize = 250,

@@ -162,7 +162,7 @@ TEST_F(DatasetIoTest, ImportRejectsCorruptTxCount) {
 }
 
 TEST(CsvReader, ParsesQuotedFields) {
-  const std::string path = ::testing::TempDir() + "/cn_reader.csv";
+  const std::string path = cn::test::unique_temp_path("cn_reader", ".csv");
   {
     cn::CsvWriter csv(path);
     csv.field("a,b").field("line\nbreak").field("say \"hi\"");
@@ -333,7 +333,7 @@ TEST_F(DatasetIoTest, FirstSeenDuplicateFirstWins) {
   const auto lenient = import_first_seen(dir_ + "/fs.csv", LoadPolicy::kLenient);
   ASSERT_TRUE(lenient.has_value());
   ASSERT_EQ(lenient->size(), 1u);
-  EXPECT_EQ(lenient->at(*btc::Txid::from_hex(id)), 100);
+  EXPECT_EQ(lenient->find(*btc::Txid::from_hex(id))->second, 100);
 }
 
 TEST_F(DatasetIoTest, ExportIsAtomicNoTmpFilesRemain) {

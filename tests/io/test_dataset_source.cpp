@@ -52,6 +52,33 @@ std::string audited(const DatasetHandle& handle, unsigned threads) {
       core::run_full_audit(handle.chain, registry, &quality, options));
 }
 
+/// What a CNB1 load must share with the CSV load of the same world:
+/// an intact chain whose index resolves every txid to the same place,
+/// the same first-seen log, and the same rendered report.
+void expect_same_load(const DatasetHandle& csv, const DatasetHandle& cnb) {
+  EXPECT_TRUE(cnb.chain.verify_integrity());
+  ASSERT_EQ(cnb.chain.size(), csv.chain.size());
+  EXPECT_EQ(cnb.chain.tip_hash(), csv.chain.tip_hash());
+  EXPECT_EQ(cnb.chain.total_tx_count(), csv.chain.total_tx_count());
+  for (const btc::Block& block : csv.chain.blocks()) {
+    for (std::size_t i = 0; i < block.txs().size(); ++i) {
+      const btc::Txid& id = block.txs()[i].id();
+      const auto loc = cnb.chain.locate(id);
+      ASSERT_TRUE(loc.has_value()) << id.to_hex();
+      EXPECT_EQ(loc->block_height, block.height());
+      EXPECT_EQ(loc->position, i);
+      const btc::Transaction* tx = cnb.chain.find_tx(id);
+      ASSERT_NE(tx, nullptr);
+      EXPECT_EQ(tx->id(), id);
+    }
+  }
+  ASSERT_TRUE(csv.first_seen.has_value());
+  ASSERT_TRUE(cnb.first_seen.has_value());
+  EXPECT_EQ(*cnb.first_seen, *csv.first_seen);
+  EXPECT_EQ(cnb.addresses.size(), csv.addresses.size());
+  EXPECT_EQ(audited(cnb, 4), audited(csv, 1));
+}
+
 class DatasetSourceTest : public ::testing::Test {
  protected:
   std::string dir_ =
@@ -190,6 +217,49 @@ TEST_F(DatasetSourceTest, FaultInjectedInputsStayByteIdenticalAcrossFormats) {
     EXPECT_EQ(audited(*from_csv, threads), baseline) << threads;
     EXPECT_EQ(audited(*from_cnb, threads), baseline) << threads;
   }
+}
+
+TEST_F(DatasetSourceTest, HelperThreadRebuildMatchesCsvLoad) {
+  // read_cnb rebuilds the chain on a helper thread whenever the host has
+  // more than one hardware thread, whatever the file size.
+  if (util::resolve_threads(0) < 2) {
+    GTEST_SKIP() << "single hardware thread: the rebuild runs inline";
+  }
+  const std::string csv = export_world();
+  auto from_csv = open_dataset(csv);
+  ASSERT_TRUE(from_csv.has_value()) << from_csv.report.summary();
+  const std::string cnb = to_cnb(*from_csv);
+
+  const auto strict = open_dataset(cnb, LoadPolicy::kStrict);
+  ASSERT_TRUE(strict.has_value()) << strict.report.summary();
+  EXPECT_TRUE(strict.report.clean());
+  EXPECT_TRUE(strict->audit_dataset.has_value());
+  expect_same_load(*from_csv, *strict);
+
+  // Lenient, with one derived-column section corrupted: that optional
+  // group is dropped while the helper rebuilds the chain, and the audit
+  // falls back to building the dataset itself.
+  const auto info = inspect_cnb(cnb);
+  ASSERT_TRUE(info.has_value());
+  const std::string dirty = dir_ + "/dirty.cnb";
+  bool derived_hit = false;
+  for (std::uint64_t seed = 1; seed <= 64 && !derived_hit; ++seed) {
+    testing::InjectionLog log;
+    testing::FaultOptions faults;
+    faults.cnb_sections = 1;
+    ASSERT_TRUE(
+        testing::FaultInjector(seed).inject_cnb_file(cnb, dirty, faults, log));
+    ASSERT_EQ(log.faults.size(), 1u);
+    ASSERT_EQ(log.faults[0].kind, testing::FaultKind::kCorruptSection);
+    derived_hit = info->sections[log.faults[0].line - 1].id >=
+                  static_cast<std::uint32_t>(CnbSection::kPoolNameOffsets);
+  }
+  ASSERT_TRUE(derived_hit);
+  const auto lenient = open_dataset(dirty, LoadPolicy::kLenient);
+  ASSERT_TRUE(lenient.has_value()) << lenient.report.summary();
+  EXPECT_FALSE(lenient.report.clean());
+  EXPECT_FALSE(lenient->audit_dataset.has_value());
+  expect_same_load(*from_csv, *lenient);
 }
 
 TEST_F(DatasetSourceTest, PrebuiltDatasetIsGatedOnRegistryFingerprint) {

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "../helpers.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -123,7 +124,7 @@ class ObsExport : public ::testing::Test {
     set_enabled(true);
     reset_for_test();
     timeline_clear();
-    dir_ = std::filesystem::temp_directory_path() / "cn_obs_export_test";
+    dir_ = cn::test::unique_temp_path("cn_obs_export_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "../helpers.hpp"
+
 namespace cn {
 namespace {
 
@@ -31,7 +33,7 @@ TEST(CsvEscape, DoublesEmbeddedQuotes) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cn_csv_test.csv";
+  std::string path_ = cn::test::unique_temp_path("cn_csv_test", ".csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
@@ -72,7 +74,7 @@ TEST_F(CsvWriterTest, CloseReportsSuccessAndIsIdempotent) {
 
 class CsvReaderEdgeTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cn_csv_edge.csv";
+  std::string path_ = cn::test::unique_temp_path("cn_csv_edge", ".csv");
   void TearDown() override { std::remove(path_.c_str()); }
 
   void write_raw(const std::string& content) {

@@ -39,6 +39,17 @@ run cmake --preset release
 run cmake --build --preset release -j "${JOBS}"
 run ctest --preset release -j "${JOBS}"
 
+echo "=== shared-path race leg: ctest -j8 --repeat until-fail:20 ==="
+# Every discovered gtest case is its own process under ctest, so
+# fixtures that shared a fixed temp-file name raced each other; they now
+# get per-test, per-pid paths. Re-running the file-heavy suites in
+# parallel, twenty times over, keeps such a race from coming back.
+run ctest --preset release -j 8 --repeat until-fail:20 \
+    -R 'CsvReader|DatasetSource|CnbFormat|DataQuality|Withholding|Daemon'
+
+echo "=== perfbench: unit tests of the benchmark's own helpers ==="
+run python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 if [[ "${QUICK}" == "1" ]]; then
   echo "=== quick mode: skipping sanitizer builds ==="
   exit 0
@@ -233,7 +244,10 @@ run ./build-tsan/tests/cn_tests_obs
 # (parallel AuditDataset build + staged pipeline), and the fault-injection
 # property tests all drive the thread pool; run them race-checked.
 run ./build-tsan/tests/cn_tests_core --gtest_filter='AuditPipeline*:AuditDifferential*:AuditStages*'
-run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*'
+# The CNB1 loader rebuilds the chain and interns addresses on two helper
+# threads while the calling thread decodes the snapshot, first-seen and
+# derived-column groups, whatever the file size — fixture files included.
+run ./build-tsan/tests/cn_tests_io --gtest_filter='FaultInjection*:CnbFormat*:DatasetSource*'
 
 echo "=== tsan: sharded simulation engine ==="
 # The sharded engine's cross-shard hand-offs (per-lane message queues
