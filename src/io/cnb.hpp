@@ -209,6 +209,19 @@ bool write_cnb(const btc::Chain& chain, const std::string& path,
 bool write_cnb(const DatasetHandle& handle, const std::string& path,
                std::string* error = nullptr);
 
+/// Writes the complete export of one observed world under @p dir (which
+/// is emptied first): the CSV data set, snapshots.csv, first_seen.csv and
+/// dataset.cnb. Returns the lower-case hex SHA-256 over every file's
+/// name, size and bytes, in name order, so equal digests mean
+/// byte-identical exports; the simulator's determinism goldens pin it.
+/// Returns "" on an I/O failure, with the reason in @p error when
+/// non-null.
+std::string export_digest(const btc::Chain& chain,
+                          const node::SnapshotSeries& snapshots,
+                          const FirstSeenMap& first_seen,
+                          const std::string& dir,
+                          std::string* error = nullptr);
+
 /// Loads a CNB1 file: mmap, verify every recognised section's checksum
 /// and layout, copy the columns into an owning DatasetHandle, unmap.
 /// See the failure model in the file comment; open_dataset is the
