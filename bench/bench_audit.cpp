@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include "core/audit_pipeline.hpp"
 #include "core/wallet_inference.hpp"
@@ -121,42 +122,65 @@ int main(int argc, char** argv) {
 
   // Observability overhead gate (DESIGN.md §10): the instrumented audit
   // must stay within 2% of the same audit with the runtime obs switch
-  // off, and the report must not change by a byte either way. On/off
-  // reps are interleaved and each side takes its minimum, so clock
-  // drift, frequency scaling and cache warmth cancel instead of being
-  // billed to the instrumentation.
-  const auto timed_once = [&](core::AuditReport* out) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto report = core::run_full_audit(g_world->chain, registry,
-                                       options_for(core::AuditEngine::kColumnar));
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (out != nullptr) *out = std::move(report);
-    return s;
-  };
+  // off, and the report must not change by a byte either way. One audit
+  // takes tens of milliseconds, far too short to compare against a 2%
+  // budget on a host whose speed drifts by more than that from second to
+  // second. So each pair of samples alternates obs on and off audit by
+  // audit until both sides have run for at least kSampleSeconds, which
+  // puts both under the same drift; the side that opens a pair
+  // alternates from pair to pair, and the gate reads the median of the
+  // per-pair ratios.
+  constexpr double kSampleSeconds = 1.0;
+  constexpr int kObsPairs = 15;
+  const auto options = options_for(core::AuditEngine::kColumnar);
   core::AuditReport lit_report, dark_report;
-  double lit_s = 1e300;
-  double dark_s = 1e300;
-  constexpr int kObsPairs = 5;
-  for (int rep = 0; rep < kObsPairs; ++rep) {
-    cn::obs::set_enabled(true);
-    lit_s = std::min(lit_s, timed_once(&lit_report));
-    cn::obs::set_enabled(false);
-    dark_s = std::min(dark_s, timed_once(&dark_report));
+  std::vector<double> lit_samples, dark_samples, overheads;
+  for (int pair = 0; pair < kObsPairs; ++pair) {
+    double seconds[2] = {0.0, 0.0};  // [obs off, obs on]
+    int reps[2] = {0, 0};
+    bool on = pair % 2 == 0;
+    while (seconds[0] < kSampleSeconds || seconds[1] < kSampleSeconds) {
+      cn::obs::set_enabled(on);
+      const auto t0 = std::chrono::steady_clock::now();
+      auto report = core::run_full_audit(g_world->chain, registry, options);
+      seconds[on] += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+      ++reps[on];
+      (on ? lit_report : dark_report) = std::move(report);
+      on = !on;
+    }
+    lit_samples.push_back(seconds[1] / reps[1]);
+    dark_samples.push_back(seconds[0] / reps[0]);
+    overheads.push_back(lit_samples.back() / dark_samples.back() - 1.0);
   }
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
   cn::obs::set_enabled(true);
   const bool obs_bytes_equal = rendered(dark_report) == rendered(lit_report);
-  const double overhead = dark_s > 0.0 ? lit_s / dark_s - 1.0 : 0.0;
+  const double lit_s = quantile(lit_samples, 0.5);
+  const double dark_s = quantile(dark_samples, 0.5);
+  const double overhead = quantile(overheads, 0.5);
+  const double overhead_iqr = quantile(overheads, 0.75) - quantile(overheads, 0.25);
   const bool overhead_ok = overhead <= 0.02;
   std::printf("\n--- observability overhead ---\n");
-  std::printf("  obs on:  %8.3f s\n  obs off: %8.3f s   (%+.2f%%, budget 2%%, "
-              "reports %s)\n",
-              lit_s, dark_s, overhead * 100.0,
+  std::printf("  obs on:  %8.4f s per audit (median of %d samples of >= %.0f s)\n"
+              "  obs off: %8.4f s per audit\n"
+              "  overhead: median %+.2f%%, IQR %.2f%% over %d pairs "
+              "(budget 2%%, reports %s)\n",
+              lit_s, kObsPairs, kSampleSeconds, dark_s, overhead * 100.0,
+              overhead_iqr * 100.0, kObsPairs,
               obs_bytes_equal ? "byte-identical" : "DIVERGED");
   json.metric("obs_enabled_seconds", lit_s);
   json.metric("obs_disabled_seconds", dark_s);
   json.metric("obs_overhead_fraction", overhead);
+  json.metric("obs_overhead_iqr", overhead_iqr);
+  json.metric("obs_overhead_pairs", kObsPairs);
   json.metric("obs_overhead_ok", overhead_ok ? 1.0 : 0.0);
   json.metric("obs_reports_byte_identical", obs_bytes_equal ? 1.0 : 0.0);
   if (!obs_bytes_equal) {

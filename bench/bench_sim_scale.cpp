@@ -1,33 +1,33 @@
-// Sharded simulation engine scaling: world size x thread count sweep.
+// Simulation throughput: the serial engine over a world-size sweep.
 //
-// The PR-7 engine splits transaction generation across per-shard event
-// lanes that synchronize at a conservative time-window barrier, so sim
-// throughput should scale with cores while threads=1 stays byte-
-// identical to the seed engine. This bench records txs/s, events/s and
-// blocks/s for every (world, threads) cell into BENCH_sim_scale.json
-// and enforces the >=10x parallel-speedup gate on hosts that can
-// physically express it (>=16 hardware threads; a conservative-window
-// engine cannot exceed ~1x per core, so gating 10x on a smaller host
-// would only measure the machine). On smaller hosts the ratio is still
-// recorded and the gate is reported as skipped, with the reason.
+// Runs one world per size (small = data set A, medium = B, large = C,
+// each scaled by CN_SCALE) and records seconds, txs/s, events/s and
+// blocks/s per world into BENCH_sim_scale.json. This is the baseline a
+// simulator speed-up is measured against.
 //
-//   --smoke   tiny world, determinism checks only, no perf gates, no
-//             micro-benchmarks. This is the CI/TSan leg: it drives the
-//             serial and sharded paths (including a repeat run compared
-//             for equality) fast enough to run under sanitizers.
+//   --smoke   determinism only, no timings, no micro-benchmarks: runs the
+//             small data set C world (seed 7, scale 0.05) twice and
+//             checks that both runs export the same bytes and that those
+//             bytes match the golden digest the determinism suite
+//             (tests/sim/test_determinism.cpp) pins. Fast enough for CI.
 #include "common.hpp"
 
 #include <cstring>
-#include <thread>
 
+#include "io/cnb.hpp"
 #include "obs/registry.hpp"
 #include "sim/dataset.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_seed.hpp"
 
 namespace {
 
 using namespace cn;
+
+// Same world and digest as kGoldenDatasetC7 in tests/sim/test_determinism.cpp.
+constexpr std::uint64_t kGoldenSeed = 7;
+constexpr double kGoldenScale = 0.05;
+constexpr const char* kGoldenDigest =
+    "324501308b0c350807da3addc8eba0898fb5b8eba38621a51853988e333f11c3";
 
 double counter_value(const char* name) {
   for (const auto& m : obs::snapshot()) {
@@ -36,102 +36,52 @@ double counter_value(const char* name) {
   return 0.0;
 }
 
-struct RunCell {
-  double seconds = 0.0;
-  double txs = 0.0;
-  double blocks = 0.0;
-  double events = 0.0;
-  sim::SimResult result;
-};
-
-/// One engine run; @p threads < 0 selects the in-tree seed (oracle)
-/// engine instead of the sharded one.
-RunCell run_once(sim::DatasetKind kind, std::uint64_t seed, double scale,
-                 int threads) {
-  sim::EngineConfig cfg = sim::dataset_config(kind, seed, scale);
-  const double events_before = counter_value("sim.engine.events");
-  const auto t0 = std::chrono::steady_clock::now();
-  RunCell cell;
-  if (threads < 0) {
-    cell.result = sim::SeedEngine(cfg).run();
-  } else {
-    cfg.threads = static_cast<unsigned>(threads);
-    cell.result = sim::Engine(cfg).run();
-  }
-  cell.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  cell.txs = static_cast<double>(cell.result.chain.total_tx_count());
-  cell.blocks = static_cast<double>(cell.result.chain.size());
-  cell.events = counter_value("sim.engine.events") - events_before;
-  return cell;
-}
-
-bool same_world(const sim::SimResult& a, const sim::SimResult& b) {
-  if (a.chain.size() != b.chain.size()) return false;
-  for (std::size_t i = 0; i < a.chain.size(); ++i) {
-    const auto& ba = a.chain.blocks()[i];
-    const auto& bb = b.chain.blocks()[i];
-    if (ba.tx_count() != bb.tx_count()) return false;
-    for (std::size_t j = 0; j < ba.tx_count(); ++j) {
-      if (!(ba.txs()[j].id() == bb.txs()[j].id())) return false;
-    }
-  }
-  if (a.issued_count != b.issued_count) return false;
-  if (a.observer.first_seen_map().size() != b.observer.first_seen_map().size())
-    return false;
-  for (const auto& [id, t] : a.observer.first_seen_map()) {
-    const auto other = b.observer.first_seen(id);
-    if (!other.has_value() || *other != t) return false;
-  }
-  return true;
-}
-
 std::uint64_t g_seed = 42;
 
-void BM_EngineSerialSmall(benchmark::State& state) {
+void BM_EngineSmall(benchmark::State& state) {
   for (auto _ : state) {
-    sim::EngineConfig cfg =
-        sim::dataset_config(sim::DatasetKind::kA, g_seed, 0.05);
-    cfg.threads = 1;
-    auto r = sim::Engine(cfg).run();
+    auto r = sim::Engine(sim::dataset_config(sim::DatasetKind::kA, g_seed, 0.05))
+                 .run();
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_EngineSerialSmall)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineSmall)->Unit(benchmark::kMillisecond);
 
-void BM_EngineShardedSmall(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EngineConfig cfg =
-        sim::dataset_config(sim::DatasetKind::kA, g_seed, 0.05);
-    cfg.threads = 0;  // all hardware threads
-    auto r = sim::Engine(cfg).run();
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_EngineShardedSmall)->Unit(benchmark::kMillisecond);
-
-int run_smoke(std::uint64_t seed) {
+int run_smoke() {
   cn::bench::JsonReport json("sim_scale_smoke");
-  cn::bench::banner("sim engine scaling (smoke): serial/sharded determinism",
+  cn::bench::banner("sim engine (smoke): run-to-run and golden determinism",
                     "(engineering bench; no paper counterpart)");
-  const double scale = 0.1;
-  const RunCell oracle = run_once(sim::DatasetKind::kA, seed, scale, -1);
-  const RunCell serial = run_once(sim::DatasetKind::kA, seed, scale, 1);
-  const RunCell shard_a = run_once(sim::DatasetKind::kA, seed, scale, 2);
-  const RunCell shard_b = run_once(sim::DatasetKind::kA, seed, scale, 2);
-
-  const bool serial_ok = same_world(oracle.result, serial.result);
-  const bool sharded_ok = same_world(shard_a.result, shard_b.result);
-  std::printf("  threads=1 == seed engine:       %s\n",
-              serial_ok ? "OK" : "FAILED");
-  std::printf("  threads=2 run-to-run identical: %s\n",
-              sharded_ok ? "OK" : "FAILED");
-  json.metric("serial_matches_seed", serial_ok ? 1.0 : 0.0);
-  json.metric("sharded_deterministic", sharded_ok ? 1.0 : 0.0);
-  json.metric("txs", serial.txs);
-  json.metric("blocks", serial.blocks);
-  if (!serial_ok || !sharded_ok) {
+  const sim::EngineConfig config =
+      sim::dataset_config(sim::DatasetKind::kC, kGoldenSeed, kGoldenScale);
+  std::string digests[2];
+  double txs = 0.0, blocks = 0.0;
+  for (int run = 0; run < 2; ++run) {
+    const sim::SimResult world = sim::Engine(config).run();
+    std::string error;
+    digests[run] = io::export_digest(
+        world.chain, world.observer.snapshots(), world.observer.first_seen_map(),
+        cn::bench::out_dir() + "/sim_scale_smoke_" + std::to_string(run), &error);
+    if (digests[run].empty()) {
+      std::fprintf(stderr, "FATAL: export failed: %s\n", error.c_str());
+      return 1;
+    }
+    txs = static_cast<double>(world.chain.total_tx_count());
+    blocks = static_cast<double>(world.chain.size());
+  }
+  const bool repeat_ok = digests[0] == digests[1];
+  const bool golden_ok = digests[0] == kGoldenDigest;
+  std::printf("  run-to-run identical exports: %s\n", repeat_ok ? "OK" : "FAILED");
+  std::printf("  export matches golden digest: %s\n  (%s)\n",
+              golden_ok ? "OK" : "FAILED", digests[0].c_str());
+  // The top-level seed/scale fields echo CN_SEED/CN_SCALE; the smoke
+  // world ignores both.
+  json.metric("world_seed", static_cast<double>(kGoldenSeed));
+  json.metric("world_scale", kGoldenScale);
+  json.metric("run_to_run_identical", repeat_ok ? 1.0 : 0.0);
+  json.metric("matches_golden", golden_ok ? 1.0 : 0.0);
+  json.metric("txs", txs);
+  json.metric("blocks", blocks);
+  if (!repeat_ok || !golden_ok) {
     std::fprintf(stderr, "FATAL: smoke determinism check failed\n");
     return 1;
   }
@@ -141,19 +91,15 @@ int run_smoke(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = cn::bench::seed_from_env();
-  g_seed = seed;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke(seed);
+    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
   }
+  g_seed = cn::bench::seed_from_env();
 
   cn::bench::JsonReport json("sim_scale");
-  cn::bench::banner("sim engine scaling: world size x thread count",
+  cn::bench::banner("sim engine throughput: serial world-size sweep",
                     "(engineering bench; no paper counterpart)");
   const double scale = cn::bench::scale_from_env(0.5);
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("host: %u hardware threads\n\n", hw);
-  json.metric("hardware_threads", static_cast<double>(hw));
 
   struct World {
     const char* name;
@@ -165,69 +111,29 @@ int main(int argc, char** argv) {
       {"medium", sim::DatasetKind::kB, 1.0 * scale},
       {"large", sim::DatasetKind::kC, 2.0 * scale},
   };
-  // threads: -1 = seed engine baseline, then the sweep. 0 resolves to
-  // every hardware thread.
-  const int thread_cells[] = {-1, 1, 2, 0};
-
-  double large_t1_rate = 0.0, large_t0_rate = 0.0;
   for (const World& w : worlds) {
-    std::printf("world %-6s (kind=%c, scale=%.3g)\n", w.name,
-                "ABC"[static_cast<int>(w.kind)], w.scale);
-    for (int threads : thread_cells) {
-      const RunCell cell = run_once(w.kind, seed, w.scale, threads);
-      const double txs_per_s = cell.txs / cell.seconds;
-      const double events_per_s = cell.events / cell.seconds;
-      const double blocks_per_s = cell.blocks / cell.seconds;
-      char label[32];
-      if (threads < 0) {
-        std::snprintf(label, sizeof(label), "seed");
-      } else {
-        std::snprintf(label, sizeof(label), "t%d", threads);
-      }
-      std::printf(
-          "  %-5s %8.3f s   %9.0f txs/s   %9.0f events/s   %6.2f blocks/s\n",
-          label, cell.seconds, txs_per_s, events_per_s, blocks_per_s);
-      const std::string key = std::string(w.name) + "." + label;
-      json.metric(key + ".seconds", cell.seconds);
-      json.metric(key + ".txs_per_s", txs_per_s);
-      json.metric(key + ".events_per_s", events_per_s);
-      json.metric(key + ".blocks_per_s", blocks_per_s);
-      json.add("txs", cell.txs);
-      json.add("blocks", cell.blocks);
-      if (std::strcmp(w.name, "large") == 0 && threads == 1)
-        large_t1_rate = txs_per_s;
-      if (std::strcmp(w.name, "large") == 0 && threads == 0)
-        large_t0_rate = txs_per_s;
-    }
-  }
-
-  // --- the >=10x parallel gate ---
-  // A conservative time-window engine scales at most ~1x per core, so
-  // 10x requires >=16 hardware threads to be physically expressible
-  // (with barrier overhead eating the slack). On smaller hosts the
-  // ratio is recorded but the gate is explicitly skipped — failing it
-  // there would measure the machine, not the engine.
-  const double speedup =
-      large_t1_rate > 0.0 ? large_t0_rate / large_t1_rate : 0.0;
-  const bool host_capable = hw >= 16;
-  std::printf("\n  large world threads=0 vs threads=1: %.2fx\n", speedup);
-  json.metric("parallel_speedup_large", speedup);
-  json.metric("parallel_gate_skipped", host_capable ? 0.0 : 1.0);
-  if (host_capable) {
-    const bool ok = speedup >= 10.0;
-    std::printf("  parallel gate (>=10x): %s\n", ok ? "OK" : "FAILED");
-    json.metric("parallel_gate_ok", ok ? 1.0 : 0.0);
-    if (!ok) {
-      std::fprintf(stderr,
-                   "FATAL: parallel speedup %.2fx is below the 10x gate\n",
-                   speedup);
-      return 1;
-    }
-  } else {
+    const double events_before = counter_value("sim.engine.events");
+    const auto t0 = std::chrono::steady_clock::now();
+    const sim::SimResult result =
+        sim::Engine(sim::dataset_config(w.kind, g_seed, w.scale)).run();
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    const double txs = static_cast<double>(result.chain.total_tx_count());
+    const double blocks = static_cast<double>(result.chain.size());
+    const double events = counter_value("sim.engine.events") - events_before;
     std::printf(
-        "  parallel gate (>=10x): SKIPPED — host has %u hardware threads; "
-        "a conservative-window engine needs >=16 to express 10x\n",
-        hw);
+        "world %-6s (kind=%c, scale=%.3g) %8.3f s   %9.0f txs/s   "
+        "%9.0f events/s   %6.2f blocks/s\n",
+        w.name, "ABC"[static_cast<int>(w.kind)], w.scale, seconds,
+        txs / seconds, events / seconds, blocks / seconds);
+    const std::string key = w.name;
+    json.metric(key + ".seconds", seconds);
+    json.metric(key + ".txs_per_s", txs / seconds);
+    json.metric(key + ".events_per_s", events / seconds);
+    json.metric(key + ".blocks_per_s", blocks / seconds);
+    json.add("txs", txs);
+    json.add("blocks", blocks);
   }
 
   return cn::bench::run_microbenchmarks(argc, argv);

@@ -79,6 +79,30 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown command unexpectedly succeeded")
 endif()
 
+# Every subcommand rejects an option it does not read: the retired
+# simulate --threads, a misspelt report option, and an option of another
+# subcommand must each exit 2 naming the key, before any work is done.
+function(expect_unknown_option key)
+  execute_process(
+    COMMAND "${CNAUDIT}" ${ARGN}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "'${ARGN}' exited ${rc}, want 2: ${out}${err}")
+  endif()
+  string(FIND "${err}" "unknown option --${key}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "'${ARGN}' did not name --${key}: ${err}")
+  endif()
+endfunction()
+expect_unknown_option(threads simulate --dataset A --seed 11 --scale 0.1
+                      --threads 0 --out "${workdir}_threads")
+if(EXISTS "${workdir}_threads")
+  message(FATAL_ERROR "simulate --threads wrote an export before failing")
+endif()
+expect_unknown_option(min-coverag report --data "${workdir}" --min-coverag 0.5)
+expect_unknown_option(policy simulate --dataset A --policy lenient
+                      --out "${workdir}_policy")
+
 # CNB1 conversion round trip: CSV -> cnb -> CSV, with the audit reading
 # identical report bytes from all three sources via the unified --input.
 # The "loaded ... from <path>" banner names the input path, so it is
