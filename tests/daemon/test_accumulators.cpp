@@ -5,7 +5,9 @@
 // are prequential (wallets count only from the block that announced
 // them); sealing is deterministic and idempotent; and the checkpoint
 // encoding round-trips the full state byte-exactly while rejecting
-// garbage with a message instead of crashing.
+// garbage with a message instead of crashing. A simulated world replayed
+// through io::ReplaySource pins the sealed JSON and the checkpoint bytes
+// to golden SHA-256 digests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,12 @@
 #include "core/neutrality.hpp"
 #include "core/wallet_inference.hpp"
 #include "daemon/accumulators.hpp"
+#include "io/dataset_source.hpp"
+#include "io/stream_source.hpp"
+#include "sim/dataset.hpp"
+#include "sim/engine.hpp"
+#include "util/hex.hpp"
+#include "util/sha256.hpp"
 
 namespace cn::daemon {
 namespace {
@@ -241,6 +249,52 @@ TEST(AuditAccumulators, DecodeRejectsGarbageWithoutCrashing) {
   AuditAccumulators victim(registry, test_options());
   std::string error;
   EXPECT_FALSE(victim.decode(padded.data(), padded.size(), &error));
+}
+
+// Golden SHA-256 digests of a replayed world: data set C, seed 7, scale
+// 0.05 (the world tests/sim/test_determinism.cpp pins the export of),
+// every block and snapshot fed through io::ReplaySource with the
+// observer's first-seen log, under test_options().
+constexpr const char* kGoldenReplayJson =
+    "a887914f504c491bc98abd9f746a30d50fe888fd349da2b6ee40034bb05f69d8";
+constexpr const char* kGoldenReplayCheckpoint =
+    "0c2b69f4d5a7de3f51d31064084eb9830ebc046e6e92d3b0e15f7aa72e76c6b6";
+
+TEST(AuditAccumulators, ReplayedWorldMatchesGoldenDigests) {
+  sim::SimResult world =
+      sim::Engine(sim::dataset_config(sim::DatasetKind::kC, 7, 0.05)).run();
+  io::DatasetHandle feed;
+  feed.chain = std::move(world.chain);
+  feed.snapshots = world.observer.snapshots();
+  const btc::TxidMap<SimTime>& seen = world.observer.first_seen_map();
+  const core::FirstSeenFn first_seen =
+      [&seen](const btc::Txid& id) -> std::optional<SimTime> {
+    const auto it = seen.find(id);
+    if (it == seen.end()) return std::nullopt;
+    return it->second;
+  };
+
+  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
+  AuditAccumulators acc(registry, test_options());
+  io::ReplaySource source(feed);
+  io::StreamEvent ev;
+  while (source.next(ev, 0) == io::StreamStatus::kOk) {
+    if (ev.kind == io::StreamEvent::Kind::kBlock) {
+      acc.apply_block(*ev.block, first_seen, ev.seq);
+    } else {
+      acc.apply_snapshot(ev.snapshot, ev.seq);
+    }
+  }
+  ASSERT_EQ(acc.blocks(), feed.chain.size());
+  ASSERT_GT(acc.snapshots(), 0u);
+
+  const AuditAccumulators::Report sealed = acc.seal();
+  ASSERT_FALSE(sealed.neutrality.empty());
+  EXPECT_EQ(hex_encode(sha256(AuditAccumulators::to_json(sealed))),
+            kGoldenReplayJson);
+  std::vector<std::uint8_t> encoded;
+  acc.encode(encoded);
+  EXPECT_EQ(hex_encode(sha256(encoded)), kGoldenReplayCheckpoint);
 }
 
 TEST(AuditAccumulators, OptionsFingerprintSeparatesThresholds) {
