@@ -1,7 +1,8 @@
-// Columnar-vs-legacy run_full_audit: wall time of the staged pipeline
-// over the AuditDataset against the pre-refactor object-graph monolith
-// (AuditEngine::kLegacy), with a byte-equality check of the rendered
-// reports — the speedup only counts if the output is provably unchanged.
+// run_full_audit wall time, stage by stage, plus two gates: the
+// observability layer costs at most 2% of an audit and never changes its
+// bytes, and an audit from a stored CNB1 dataset shrinks the build stage
+// below 5% of the in-memory audit without changing its bytes. Either gate
+// failing exits non-zero.
 #include "common.hpp"
 #include "worlds.hpp"
 
@@ -35,25 +36,14 @@ std::string rendered(const core::AuditReport& report) {
   return out;
 }
 
-core::AuditOptions options_for(core::AuditEngine engine) {
+core::AuditOptions audit_options() {
   core::AuditOptions options;
-  options.engine = engine;
   options.watch_addresses.push_back(g_world->scam_address());
   return options;
 }
 
-void BM_AuditLegacy(benchmark::State& state) {
-  const auto options = options_for(core::AuditEngine::kLegacy);
-  const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  for (auto _ : state) {
-    auto report = core::run_full_audit(g_world->chain, registry, options);
-    benchmark::DoNotOptimize(report);
-  }
-}
-BENCHMARK(BM_AuditLegacy)->Unit(benchmark::kMillisecond);
-
 void BM_AuditColumnar(benchmark::State& state) {
-  const auto options = options_for(core::AuditEngine::kColumnar);
+  const auto options = audit_options();
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   for (auto _ : state) {
     auto report = core::run_full_audit(g_world->chain, registry, options);
@@ -66,7 +56,7 @@ BENCHMARK(BM_AuditColumnar)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   cn::bench::JsonReport json("audit");
-  cn::bench::banner("run_full_audit: staged columnar pipeline vs legacy monolith",
+  cn::bench::banner("run_full_audit: staged columnar pipeline",
                     "(engineering bench; the paper's §4-§5 methodology end to end)");
 
   const std::uint64_t seed = cn::bench::seed_from_env();
@@ -80,45 +70,27 @@ int main(int argc, char** argv) {
   json.metric("txs", static_cast<double>(world.chain.total_tx_count()));
 
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
-  const auto timed = [&](core::AuditEngine engine, core::AuditReport* out) {
-    constexpr int kReps = 3;
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      auto report = core::run_full_audit(g_world->chain, registry,
-                                         options_for(engine));
-      best = std::min(
-          best, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count());
-      if (out != nullptr) *out = std::move(report);
-    }
-    return best;
-  };
+  // Best of three in-memory audits: the reference the CNB1 build-stage
+  // budget below is measured against.
+  core::AuditReport columnar_report;
+  double columnar_s = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto report = core::run_full_audit(g_world->chain, registry, audit_options());
+    columnar_s = std::min(
+        columnar_s,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+    columnar_report = std::move(report);
+  }
 
-  core::AuditReport legacy_report, columnar_report;
-  const double legacy_s = timed(core::AuditEngine::kLegacy, &legacy_report);
-  const double columnar_s = timed(core::AuditEngine::kColumnar, &columnar_report);
-  const bool bytes_equal = rendered(legacy_report) == rendered(columnar_report);
-
-  std::printf("  legacy monolith:   %8.3f s\n", legacy_s);
-  std::printf("  columnar pipeline: %8.3f s   (%.2fx, reports %s)\n",
-              columnar_s, legacy_s / columnar_s,
-              bytes_equal ? "byte-identical" : "DIVERGED");
+  std::printf("  columnar pipeline: %8.3f s\n", columnar_s);
   std::printf("\n--- columnar stage timings ---\n");
   for (const core::AuditStage& s : columnar_report.stages) {
     std::printf("  %-14s %8.3f s\n", s.name.c_str(), s.seconds);
     json.metric("stage_" + s.name + "_seconds", s.seconds);
   }
-
-  json.metric("legacy_seconds", legacy_s);
   json.metric("columnar_seconds", columnar_s);
-  json.metric("speedup", legacy_s / columnar_s);
-  json.metric("reports_byte_identical", bytes_equal ? 1.0 : 0.0);
-  if (!bytes_equal) {
-    std::fprintf(stderr, "FATAL: columnar report diverged from the legacy oracle\n");
-    return 1;
-  }
 
   // Observability overhead gate (DESIGN.md §10): the instrumented audit
   // must stay within 2% of the same audit with the runtime obs switch
@@ -132,7 +104,7 @@ int main(int argc, char** argv) {
   // per-pair ratios.
   constexpr double kSampleSeconds = 1.0;
   constexpr int kObsPairs = 15;
-  const auto options = options_for(core::AuditEngine::kColumnar);
+  const auto options = audit_options();
   core::AuditReport lit_report, dark_report;
   std::vector<double> lit_samples, dark_samples, overheads;
   for (int pair = 0; pair < kObsPairs; ++pair) {
@@ -229,7 +201,7 @@ int main(int argc, char** argv) {
   core::AuditReport prebuilt_report;
   double prebuilt_s = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    auto options = options_for(core::AuditEngine::kColumnar);
+    auto options = audit_options();
     options.prebuilt_dataset = prebuilt;
     const auto t0 = std::chrono::steady_clock::now();
     auto report = core::run_full_audit(loaded->chain, registry, options);
@@ -267,17 +239,24 @@ int main(int argc, char** argv) {
   json.metric("cnb_reports_byte_identical", cnb_bytes_equal ? 1.0 : 0.0);
   if (!cnb_bytes_equal) {
     std::fprintf(stderr,
-                 "FATAL: CNB1 prebuilt report diverged from the columnar "
-                 "oracle\n");
+                 "FATAL: CNB1 prebuilt report diverged from the in-memory "
+                 "audit\n");
     return 1;
+  }
+  // Both budget gates are reported before either fails the run, so the
+  // exit status and the *_ok bits in the JSON always agree.
+  if (!overhead_ok) {
+    std::fprintf(stderr,
+                 "FATAL: observability costs %+.2f%% of an audit (budget 2%%)\n",
+                 overhead * 100.0);
   }
   if (!build_fraction_ok) {
     std::fprintf(stderr,
                  "FATAL: build stage is %.2f%% of the columnar audit "
                  "(budget 5%%)\n",
                  build_fraction * 100.0);
-    return 1;
   }
+  if (!overhead_ok || !build_fraction_ok) return 1;
 
   return cn::bench::run_microbenchmarks(argc, argv);
 }

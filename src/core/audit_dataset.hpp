@@ -24,8 +24,8 @@
 //   * block_ppe()[b] and sppe()[t] cache the values of core/ppe.hpp and
 //     core/sppe.hpp verbatim, with quiet NaN standing in for "undefined"
 //     (fewer than 2 retained/total transactions) — consumers skip NaN
-//     exactly where the object-graph path skipped the missing value, so
-//     reports stay byte-identical to the legacy pipeline.
+//     exactly where the object-graph overloads skip the missing value,
+//     so both views agree on every statistic.
 //
 // The build fans out per block over a util::ThreadPool: each block's
 // task writes only its own slots, so the dataset is bit-identical for

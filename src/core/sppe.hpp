@@ -46,7 +46,7 @@ std::vector<double> sppe_values(const btc::Chain& chain,
 /// a TxIdx selection, optionally restricted to blocks of @p pool
 /// (kNoPoolId = no restriction). Values and order are identical to the
 /// object-graph overloads on the same selection — NaN entries (1-tx
-/// blocks) are skipped exactly where the legacy path skipped them.
+/// blocks) are skipped exactly where the object-graph overloads skip them.
 std::vector<double> sppe_values(const AuditDataset& dataset,
                                 std::span<const TxIdx> txs, PoolId pool);
 

@@ -18,7 +18,7 @@
 // Also covered here: the block-withholding detector (missing-mempool
 // overlap, core/withholding.hpp) flagging a WithholdingPolicy plant and
 // staying quiet on prompt publishers; the audit pipeline's withholding
-// stage rendering identically on the legacy and columnar engines; and
+// stage rendering identically at one and at four lanes; and
 // the fee-only (zero-subsidy) EngineConfig knob.
 //
 // CN_SMOKE=1 (the ASan CI leg) halves the world duration; every
@@ -264,29 +264,27 @@ std::string rendered(const core::AuditReport& report) {
   return out;
 }
 
-TEST_F(DetectorPower, WithholdingAuditStageMatchesAcrossEngines) {
-  // The new "withholding" stage through the full pipeline: present and
-  // populated when a first-seen log is supplied, byte-identical between
-  // the legacy oracle and the columnar engine, absent without the log.
+TEST_F(DetectorPower, WithholdingAuditStageIsThreadDeterministic) {
+  // The "withholding" stage through the full pipeline: present and
+  // populated when a first-seen log is supplied, byte-identical at one
+  // and at four lanes, absent without the log.
   core::AuditOptions options;
   options.first_seen = &withheld_->observer.first_seen_map();
 
-  options.engine = core::AuditEngine::kColumnar;
-  const auto columnar =
+  options.threads = 1;
+  const auto serial =
       core::run_full_audit(withheld_->chain, *registry_, nullptr, options);
-  EXPECT_TRUE(columnar.has_first_seen);
-  ASSERT_FALSE(columnar.withholding.empty());
+  EXPECT_TRUE(serial.has_first_seen);
+  ASSERT_FALSE(serial.withholding.empty());
 
-  options.engine = core::AuditEngine::kLegacy;
-  const auto legacy =
+  options.threads = 4;
+  const auto threaded =
       core::run_full_audit(withheld_->chain, *registry_, nullptr, options);
-  EXPECT_TRUE(rendered(columnar) == rendered(legacy))
-      << "withholding stage renders differently across audit engines";
+  EXPECT_TRUE(rendered(serial) == rendered(threaded))
+      << "withholding stage renders differently across thread counts";
 
-  core::AuditOptions without;
-  without.engine = core::AuditEngine::kColumnar;
   const auto quiet =
-      core::run_full_audit(withheld_->chain, *registry_, nullptr, without);
+      core::run_full_audit(withheld_->chain, *registry_, nullptr, {});
   EXPECT_FALSE(quiet.has_first_seen);
   EXPECT_TRUE(quiet.withholding.empty());
   EXPECT_EQ(rendered(quiet).find("block withholding"), std::string::npos)
