@@ -27,6 +27,7 @@
 #include "core/report.hpp"
 #include "obs/export.hpp"
 #include "sim/dataset.hpp"
+#include "util/strings.hpp"
 
 namespace cn::bench {
 
@@ -36,28 +37,23 @@ namespace cn::bench {
 inline std::uint64_t seed_from_env() {
   const char* s = std::getenv("CN_SEED");
   if (s == nullptr) return 42;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
+  const auto v = util::parse_u64(s);
+  if (!v) {
     std::fprintf(stderr, "error: CN_SEED='%s' is not an unsigned integer\n", s);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 inline double scale_from_env(double fallback = 1.0) {
   const char* s = std::getenv("CN_SCALE");
   if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      v <= 0.0) {
+  const auto v = util::parse_double(s);
+  if (!v || *v <= 0.0) {
     std::fprintf(stderr, "error: CN_SCALE='%s' is not a positive number\n", s);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 /// Directory for CSV exports; created on first use.

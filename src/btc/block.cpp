@@ -1,7 +1,5 @@
 #include "btc/block.hpp"
 
-#include <unordered_set>
-
 #include "btc/merkle.hpp"
 #include "util/assert.hpp"
 
@@ -103,6 +101,17 @@ std::vector<std::size_t> Block::cpfp_positions() const {
     }
   }
   return out;
+}
+
+std::unordered_set<Txid> Block::cpfp_parents(
+    std::span<const std::size_t> cpfp) const {
+  std::unordered_set<Txid> parents;
+  for (const std::size_t pos : cpfp) {
+    for (const TxInput& in : txs_[pos].inputs()) {
+      if (!in.prev_txid.is_null()) parents.insert(in.prev_txid);
+    }
+  }
+  return parents;
 }
 
 }  // namespace cn::btc

@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "btc/amount.hpp"
@@ -59,6 +60,10 @@ class Block {
 
   /// Indices of all in-block CPFP transactions.
   std::vector<std::size_t> cpfp_positions() const;
+
+  /// Txids the transactions at @p cpfp (cpfp_positions()) spend from:
+  /// the in-block parents their CPFP children rescue.
+  std::unordered_set<Txid> cpfp_parents(std::span<const std::size_t> cpfp) const;
 
   /// Synthetic id of the coinbase transaction (derived from its fields);
   /// the first Merkle leaf, as in Bitcoin.

@@ -18,12 +18,7 @@ std::vector<SeenTx> collect_seen_txs(const btc::Chain& chain,
     // Parents of in-block CPFP children.
     std::unordered_set<std::size_t> parent_positions;
     if (!cpfp.empty()) {
-      std::unordered_set<btc::Txid> parents;
-      for (std::size_t pos : cpfp) {
-        for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-          if (!in.prev_txid.is_null()) parents.insert(in.prev_txid);
-        }
-      }
+      const std::unordered_set<btc::Txid> parents = block.cpfp_parents(cpfp);
       for (std::size_t i = 0; i < block.txs().size(); ++i) {
         if (parents.contains(block.txs()[i].id())) parent_positions.insert(i);
       }

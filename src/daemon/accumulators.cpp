@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/ppe.hpp"
 #include "core/sppe.hpp"
 #include "daemon/wire.hpp"
 #include "stats/binomial.hpp"
@@ -103,34 +102,13 @@ void AuditAccumulators::apply_block(const btc::Block& block,
     ++unidentified_;
   }
 
-  // (2) Per-pool ordering norms — identical arithmetic to
-  // core::report_for_pool, one block at a time.
+  // (2) Per-pool ordering norms — the batch scorecard's own fold.
   const std::vector<std::size_t> cpfp = block.cpfp_positions();
-  std::unordered_set<btc::Txid> rescued_parents;
-  for (std::size_t pos : cpfp) {
-    for (const btc::TxInput& in : block.txs()[pos].inputs()) {
-      if (!in.prev_txid.is_null()) rescued_parents.insert(in.prev_txid);
-    }
-  }
+  const std::unordered_set<btc::Txid> rescued_parents = block.cpfp_parents(cpfp);
   const std::vector<double> sppe = core::block_sppe(block);
   if (owner != ~std::uint32_t{0}) {
-    PoolState& p = pools_[owner];
-    ++p.blocks;
-    p.txs += block.tx_count();
-    if (const auto ppe = core::block_ppe(block); ppe.has_value()) {
-      p.ppe_sum += *ppe;
-      ++p.ppe_blocks;
-    }
-    for (double s : sppe) {
-      if (s >= options_.neutrality.sppe_boost_threshold) ++p.boosted;
-    }
-    for (const btc::Transaction& tx : block.txs()) {
-      if (tx.fee_rate() < btc::FeeRate::from_sat_per_vb(1) &&
-          !rescued_parents.contains(tx.id())) {
-        ++p.floor_blocks;
-        break;
-      }
-    }
+    core::tally_block(pools_[owner].norms, block, sppe, rescued_parents,
+                      options_.neutrality);
   }
 
   // (3) Self-interest scan against every pool's currently-known wallets
@@ -221,32 +199,20 @@ AuditAccumulators::Report AuditAccumulators::seal() const {
 
   const core::NeutralityOptions& n = options_.neutrality;
   for (const PoolState& p : pools_) {
-    if (p.blocks < n.min_blocks || p.blocks == 0) continue;
-    core::NeutralityReport r;
-    r.pool = p.name;
-    r.blocks = p.blocks;
-    r.txs = p.txs;
-    if (p.ppe_blocks > 0) {
-      r.mean_ppe = p.ppe_sum / static_cast<double>(p.ppe_blocks);
-    }
-    if (p.txs > 0) {
-      r.boosted_tx_rate =
-          static_cast<double>(p.boosted) / static_cast<double>(p.txs);
-    }
-    r.below_floor_block_rate =
-        static_cast<double>(p.floor_blocks) / static_cast<double>(p.blocks);
-    if (p.self_y > 0 && total_blocks_ > 0) {
-      const double theta0 = static_cast<double>(p.blocks) /
-                            static_cast<double>(total_blocks_);
-      r.self_dealing_p = stats::acceleration_p_value(p.self_x, p.self_y, theta0);
+    if (p.norms.blocks < n.min_blocks || p.norms.blocks == 0) continue;
+    // The prequential self-dealing test (see the header contract).
+    core::PrioTestResult self;
+    self.y = p.self_y;
+    if (p.self_y > 0) {
+      self.p_accelerate = stats::acceleration_p_value(
+          p.self_x, p.self_y,
+          static_cast<double>(p.norms.blocks) / static_cast<double>(total_blocks_));
       if (p.own_sppe_count > 0) {
-        r.self_dealing_sppe =
-            p.own_sppe_sum / static_cast<double>(p.own_sppe_count);
+        self.sppe = p.own_sppe_sum / static_cast<double>(p.own_sppe_count);
       }
-      r.self_dealing_flagged = r.self_dealing_p < n.alpha && p.self_y >= n.min_blocks;
     }
-    r.score = core::neutrality_score(r, n);
-    report.neutrality.push_back(std::move(r));
+    report.neutrality.push_back(core::score_tally(
+        p.name, p.norms, p.self_y > 0 ? &self : nullptr, n));
   }
   std::sort(report.neutrality.begin(), report.neutrality.end(),
             [](const core::NeutralityReport& a, const core::NeutralityReport& b) {
@@ -329,12 +295,12 @@ void AuditAccumulators::encode(std::vector<std::uint8_t>& out) const {
   w.u64(pools_.size());
   for (const PoolState& p : pools_) {
     w.str(p.name);
-    w.u64(p.blocks);
-    w.u64(p.txs);
-    w.f64(p.ppe_sum);
-    w.u64(p.ppe_blocks);
-    w.u64(p.boosted);
-    w.u64(p.floor_blocks);
+    w.u64(p.norms.blocks);
+    w.u64(p.norms.txs);
+    w.f64(p.norms.ppe_sum);
+    w.u64(p.norms.ppe_blocks);
+    w.u64(p.norms.boosted);
+    w.u64(p.norms.floor_blocks);
     w.u64(p.self_x);
     w.u64(p.self_y);
     w.f64(p.own_sppe_sum);
@@ -390,9 +356,10 @@ bool AuditAccumulators::decode(const std::uint8_t* data, std::size_t size,
   for (std::uint64_t i = 0; i < pool_count; ++i) {
     PoolState p;
     std::uint64_t wallet_count = 0;
-    if (!r.str(p.name) || !r.u64(p.blocks) || !r.u64(p.txs) ||
-        !r.f64(p.ppe_sum) || !r.u64(p.ppe_blocks) || !r.u64(p.boosted) ||
-        !r.u64(p.floor_blocks) || !r.u64(p.self_x) || !r.u64(p.self_y) ||
+    if (!r.str(p.name) || !r.u64(p.norms.blocks) || !r.u64(p.norms.txs) ||
+        !r.f64(p.norms.ppe_sum) || !r.u64(p.norms.ppe_blocks) ||
+        !r.u64(p.norms.boosted) || !r.u64(p.norms.floor_blocks) ||
+        !r.u64(p.self_x) || !r.u64(p.self_y) ||
         !r.f64(p.own_sppe_sum) || !r.u64(p.own_sppe_count) ||
         !r.u64(wallet_count)) {
       return fail("truncated pool record");

@@ -3,10 +3,11 @@
 //
 // The batch pipeline scans a finished chain; cnauditd sees one block at
 // a time and must answer queries between blocks. This module keeps, per
-// pool, exactly the partial sums core's report_for_pool would hold after
-// the same prefix of blocks (PPE sum, boosted-tx and floor-discipline
-// counts, self-dealing c-block counts), applies one block in O(block),
-// and materializes a full worst-first scorecard on demand ("sealing").
+// pool, the same core::NormTally the batch scorecard folds (PPE sum,
+// boosted-tx and floor-discipline counts) plus self-dealing c-block
+// counts, applies one block in O(block) through core::tally_block, and
+// materializes a full worst-first scorecard on demand ("sealing")
+// through core::score_tally — the batch kernel, not a copy of it.
 //
 // One semantic deliberately differs from batch: self-interest flagging
 // is *prequential*. The batch audit knows every wallet a pool ever
@@ -58,12 +59,7 @@ struct AccumulatorOptions {
 /// Running per-pool state, in intern (first-block-seen) order.
 struct PoolState {
   std::string name;
-  std::uint64_t blocks = 0;
-  std::uint64_t txs = 0;
-  double ppe_sum = 0.0;
-  std::uint64_t ppe_blocks = 0;
-  std::uint64_t boosted = 0;       ///< txs with SPPE >= boost threshold
-  std::uint64_t floor_blocks = 0;  ///< blocks with an unrescued sub-floor tx
+  core::NormTally norms;  ///< the batch scorecard's per-pool sums
   // Prequential self-dealing tallies (x, y of the §5.1 binomial test).
   std::uint64_t self_x = 0;  ///< c-blocks this pool mined
   std::uint64_t self_y = 0;  ///< all c-blocks for this pool's wallets

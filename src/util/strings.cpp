@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace cn {
 
@@ -89,5 +91,40 @@ std::string pad_right(std::string_view s, std::size_t width) {
   if (out.size() < width) out.append(width - out.size(), ' ');
   return out;
 }
+
+namespace util {
+
+std::optional<std::uint64_t> parse_u64(std::string_view text,
+                                       std::uint64_t max) {
+  // strtoull would skip whitespace and accept a sign; a leading digit
+  // rules out both.
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return std::nullopt;
+  }
+  const std::string s(text);
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (end != s.c_str() + s.size() || errno == ERANGE || v > max) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
+    return std::nullopt;
+  }
+  const std::string s(text);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace util
 
 }  // namespace cn

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,5 +35,19 @@ bool contains_icase(std::string_view haystack, std::string_view needle);
 /// Left/right padding to a minimum width (spaces).
 std::string pad_left(std::string_view s, std::size_t width);
 std::string pad_right(std::string_view s, std::size_t width);
+
+namespace util {
+
+/// Whole-string number parsers for command-line and environment values.
+/// Each returns nullopt, never a silent 0, on an empty string, leading
+/// whitespace, trailing characters or an out-of-range value (ERANGE);
+/// parse_u64 also rejects any sign ("-1" would wrap to 2^64-1) and values
+/// above @p max, parse_double also rejects inf and nan.
+std::optional<std::uint64_t> parse_u64(
+    std::string_view text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+std::optional<double> parse_double(std::string_view text);
+
+}  // namespace util
 
 }  // namespace cn

@@ -39,6 +39,11 @@
 
 namespace cn::util {
 
+/// Upper bound on a user-supplied thread count (--threads). Every lane is
+/// an OS thread, so a larger count is a typo or a wrapped negative
+/// number, never a request worth honouring.
+inline constexpr unsigned kMaxThreads = 1024;
+
 /// Maps the user-facing thread knob to a concrete lane count:
 /// 0 -> hardware concurrency (at least 1), anything else -> itself.
 unsigned resolve_threads(unsigned requested) noexcept;

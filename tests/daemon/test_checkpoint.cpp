@@ -26,9 +26,7 @@ const core::FirstSeenFn kNoFirstSeen =
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  std::string path_ =
-      ::testing::TempDir() + "/cn_ckpt_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".ckpt";
+  std::string path_ = cn::test::unique_temp_path("cn_ckpt", ".ckpt");
   btc::CoinbaseTagRegistry registry_ = btc::CoinbaseTagRegistry::paper_registry();
 
   void SetUp() override { std::filesystem::remove(path_); }

@@ -28,9 +28,7 @@ namespace {
 
 class CnbFormatTest : public ::testing::Test {
  protected:
-  std::string path_ =
-      ::testing::TempDir() + "/cn_cnb_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".cnb";
+  std::string path_ = cn::test::unique_temp_path("cn_cnb", ".cnb");
   void SetUp() override { std::filesystem::remove(path_); }
   void TearDown() override { std::filesystem::remove(path_); }
 

@@ -36,11 +36,7 @@ void append_line(const std::string& path, const std::string& line) {
 
 class DatasetIoTest : public ::testing::Test {
  protected:
-  // Suffix with the test name: ctest shards gtest cases into separate
-  // processes, so a shared directory would race under `ctest -j`.
-  std::string dir_ =
-      ::testing::TempDir() + "/cn_io_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string dir_ = cn::test::unique_temp_path("cn_io");
   void SetUp() override { std::filesystem::remove_all(dir_); }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -81,9 +81,7 @@ void expect_same_load(const DatasetHandle& csv, const DatasetHandle& cnb) {
 
 class DatasetSourceTest : public ::testing::Test {
  protected:
-  std::string dir_ =
-      ::testing::TempDir() + "/cn_source_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string dir_ = cn::test::unique_temp_path("cn_source");
   void SetUp() override { std::filesystem::remove_all(dir_); }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -32,11 +32,7 @@ const sim::SimResult& shared_world() {
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
-  // Suffix with the test name: ctest shards gtest cases into separate
-  // processes, so a shared directory would race under `ctest -j`.
-  std::string stem_ =
-      ::testing::TempDir() + "/cn_fi_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string stem_ = cn::test::unique_temp_path("cn_fi");
   std::string clean_ = stem_ + "_clean";
   std::string dirty_ = stem_ + "_dirty";
 

@@ -23,9 +23,7 @@ namespace {
 
 class TornWriteTest : public ::testing::Test {
  protected:
-  std::string stem_ =
-      ::testing::TempDir() + "/cn_torn_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string stem_ = cn::test::unique_temp_path("cn_torn");
   std::string clean_ = stem_ + "_clean.cnb";
   std::string torn_ = stem_ + "_torn.cnb";
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "io/cnb.hpp"
 #include "sim/engine.hpp"
 #include "testing/fault_injector.hpp"
@@ -37,8 +38,7 @@ sim::WorldSpec tiny_spec(std::uint64_t seed = 7) {
 class WorldCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/cn_world_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = cn::test::unique_temp_path("cn_world");
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/thread_pool.hpp"
+
 namespace cn {
 namespace {
 
@@ -61,6 +63,44 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("x", 3), "  x");
   EXPECT_EQ(pad_right("x", 3), "x  ");
   EXPECT_EQ(pad_left("abcd", 2), "abcd");
+}
+
+TEST(Strings, ParseU64AcceptsOnlyWholeUnsignedNumbers) {
+  EXPECT_EQ(util::parse_u64("0"), 0u);
+  EXPECT_EQ(util::parse_u64("42"), 42u);
+  EXPECT_EQ(util::parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "12abc", "1.5", " 7", "7 ", "+7", "-1",
+                          "-0", "18446744073709551616", "0x10"}) {
+    EXPECT_EQ(util::parse_u64(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(Strings, ParseU64EnforcesTheThreadBound) {
+  // --threads parses with util::kMaxThreads as its bound: a negative
+  // count must not wrap to 2^64-1 (or to 4,294,967,295 lanes once cast
+  // to unsigned), and a count past the bound is refused, not clamped.
+  EXPECT_EQ(util::parse_u64("0", util::kMaxThreads), 0u);
+  EXPECT_EQ(util::parse_u64("4", util::kMaxThreads), 4u);
+  EXPECT_EQ(util::parse_u64(std::to_string(util::kMaxThreads), util::kMaxThreads),
+            util::kMaxThreads);
+  EXPECT_EQ(util::parse_u64(std::to_string(util::kMaxThreads + 1),
+                            util::kMaxThreads),
+            std::nullopt);
+  EXPECT_EQ(util::parse_u64("-1", util::kMaxThreads), std::nullopt);
+  EXPECT_EQ(util::parse_u64("4294967295", util::kMaxThreads), std::nullopt);
+  EXPECT_EQ(util::parse_u64("18446744073709551615", util::kMaxThreads),
+            std::nullopt);
+}
+
+TEST(Strings, ParseDoubleAcceptsOnlyWholeFiniteNumbers) {
+  EXPECT_EQ(util::parse_double("0.001"), 0.001);
+  EXPECT_EQ(util::parse_double("-2.5"), -2.5);
+  EXPECT_EQ(util::parse_double("1e3"), 1000.0);
+  EXPECT_EQ(util::parse_double("7"), 7.0);
+  for (const char* bad : {"", "abc", "1e", "0.5x", " 1", "1 ", "inf", "-inf",
+                          "nan", "1e999", "1e-999"}) {
+    EXPECT_EQ(util::parse_double(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -44,6 +45,7 @@
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "testing/crash_points.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -91,9 +93,24 @@ class Args {
   std::string get_or(const std::string& key, const std::string& fallback) const {
     return get(key).value_or(fallback);
   }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
+  /// Option @p key as a whole unsigned number no larger than @p max
+  /// (@p fallback when absent); nullopt, after a message naming the
+  /// option, when the value is malformed or too large.
+  std::optional<std::uint64_t> get_u64(const std::string& key,
+                                       std::uint64_t fallback,
+                                       std::uint64_t max) const {
     const auto v = get(key);
-    return v ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
+    if (!v) return fallback;
+    const auto parsed = util::parse_u64(*v, max);
+    if (!parsed) {
+      const std::string bound =
+          max < std::numeric_limits<std::uint64_t>::max()
+              ? " <= " + std::to_string(max)
+              : "";
+      std::fprintf(stderr, "cnauditd: --%s '%s' is not an unsigned integer%s\n",
+                   key.c_str(), v->c_str(), bound.c_str());
+    }
+    return parsed;
   }
 
  private:
@@ -144,6 +161,19 @@ int main(int argc, char** argv) {
   const io::LoadPolicy policy =
       policy_s == "strict" ? io::LoadPolicy::kStrict : io::LoadPolicy::kLenient;
 
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  const auto checkpoint_every = args.get_u64("checkpoint-every", 32, kU64Max);
+  const auto seal_every = args.get_u64("seal-every", 16, kU64Max);
+  const auto read_deadline_ms = args.get_u64("read-deadline-ms", 1000, kIntMax);
+  const auto threads = args.get_u64("threads", 1, 1);  // 0 or 1
+  const auto http_port =
+      args.get_u64("http-port", 0, std::numeric_limits<std::uint16_t>::max());
+  if (!checkpoint_every || !seal_every || !read_deadline_ms || !threads ||
+      !http_port) {
+    return 2;
+  }
+
   testing::arm_crash_points_from_env();
 
   auto loaded = io::open_dataset(*input, policy);
@@ -160,15 +190,10 @@ int main(int argc, char** argv) {
 
   daemon::DaemonConfig config;
   config.checkpoint_path = args.get_or("checkpoint", "");
-  config.checkpoint_every_blocks = args.get_u64("checkpoint-every", 32);
-  config.seal_every_blocks = args.get_u64("seal-every", 16);
-  config.read_deadline_ms =
-      static_cast<int>(args.get_u64("read-deadline-ms", 1000));
-  config.threads = static_cast<int>(args.get_u64("threads", 1));
-  if (config.threads != 0 && config.threads != 1) {
-    std::fprintf(stderr, "cnauditd: --threads must be 0 or 1\n");
-    return usage();
-  }
+  config.checkpoint_every_blocks = *checkpoint_every;
+  config.seal_every_blocks = *seal_every;
+  config.read_deadline_ms = static_cast<int>(*read_deadline_ms);
+  config.threads = static_cast<int>(*threads);
 
   const auto registry = btc::CoinbaseTagRegistry::paper_registry();
   io::ReplaySource replay(handle);
@@ -193,7 +218,7 @@ int main(int argc, char** argv) {
   daemon::HttpServer http;
   if (serve) {
     std::string error;
-    const auto port = static_cast<std::uint16_t>(args.get_u64("http-port", 0));
+    const auto port = static_cast<std::uint16_t>(*http_port);
     if (!http.start(port, [&daemon](const daemon::HttpRequest& r) {
           return daemon.handle(r);
         }, &error)) {

@@ -26,6 +26,7 @@
 #include "io/cnb.hpp"
 #include "io/dataset_io.hpp"
 #include "io/dataset_source.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -87,6 +88,19 @@ int main(int argc, char** argv) {
     out_format = io::DatasetFormat::kCsv;
   }
 
+  // Lanes for the derived-column build; 0 = hardware concurrency.
+  std::uint64_t threads = 0;
+  if (args.count("threads")) {
+    const auto parsed = util::parse_u64(args["threads"], util::kMaxThreads);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "cnconvert: --threads '%s' is not an unsigned integer <= %u\n",
+                   args["threads"].c_str(), util::kMaxThreads);
+      return 2;
+    }
+    threads = *parsed;
+  }
+
   auto result = io::open_dataset(in_path, policy);
   if (!result.report.clean()) {
     std::fprintf(stderr, "cnconvert: %s: %s\n", in_path.c_str(),
@@ -133,12 +147,7 @@ int main(int argc, char** argv) {
     // load skips the audit pipeline's dominant stage.
     const auto registry = btc::CoinbaseTagRegistry::paper_registry();
     const core::PoolAttribution attribution(data.chain, registry);
-    unsigned threads = 0;
-    if (args.count("threads")) {
-      threads = static_cast<unsigned>(
-          std::strtoul(args["threads"].c_str(), nullptr, 10));
-    }
-    util::ThreadPool workers(threads);
+    util::ThreadPool workers(static_cast<unsigned>(threads));
     data.audit_dataset = core::AuditDataset::build(
         data.chain, attribution, workers,
         data.addresses.size() > 0 ? &data.addresses : nullptr);

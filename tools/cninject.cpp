@@ -33,7 +33,7 @@
 //   cnaudit report --input dirty --policy lenient  # loads, masks gaps
 //   cnaudit report --input dirty --policy strict   # pinpoints a fault
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -41,6 +41,7 @@
 
 #include "io/dataset_source.hpp"
 #include "testing/fault_injector.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -54,6 +55,24 @@ int usage() {
                "CSV directories get row faults; .cnb files get the\n"
                "section-corruption mode (--sections payload-byte flips)\n");
   return 2;
+}
+
+/// Reads numeric option @p key through @p parse into @p out, which is
+/// left alone when the option is absent; false, after a message naming
+/// the option, when its value does not parse whole.
+template <typename T, typename Parse>
+bool read_number(const std::map<std::string, std::string>& args,
+                 const char* key, Parse parse, T& out) {
+  const auto it = args.find(key);
+  if (it == args.end()) return true;
+  const auto v = parse(it->second);
+  if (!v) {
+    std::fprintf(stderr, "cninject: --%s '%s' is not a valid number\n", key,
+                 it->second.c_str());
+    return false;
+  }
+  out = static_cast<T>(*v);
+  return true;
 }
 
 std::optional<std::vector<testing::FaultKind>> parse_kinds(const std::string& s) {
@@ -93,11 +112,19 @@ int main(int argc, char** argv) {
   if (args.count("output")) args["out"] = args["output"];
   if (!args.count("in") || !args.count("out")) return usage();
 
-  const std::uint64_t seed =
-      args.count("seed") ? std::strtoull(args["seed"].c_str(), nullptr, 10) : 42;
+  const auto u64 = [](const std::string& s) { return util::parse_u64(s); };
+  const auto real = [](const std::string& s) { return util::parse_double(s); };
+  const auto sim_time = [](const std::string& s) {
+    return util::parse_u64(s, std::numeric_limits<SimTime>::max());
+  };
+  std::uint64_t seed = 42;
   testing::FaultOptions options;
-  if (args.count("rate")) {
-    options.row_corruption_rate = std::strtod(args["rate"].c_str(), nullptr);
+  if (!read_number(args, "seed", u64, seed) ||
+      !read_number(args, "rate", real, options.row_corruption_rate) ||
+      !read_number(args, "gaps", u64, options.snapshot_gaps) ||
+      !read_number(args, "gap-width", sim_time, options.gap_width) ||
+      !read_number(args, "sections", u64, options.cnb_sections)) {
+    return 2;
   }
   if (args.count("kinds")) {
     const auto kinds = parse_kinds(args["kinds"]);
@@ -107,16 +134,7 @@ int main(int argc, char** argv) {
     }
     options.kinds = *kinds;
   }
-  if (args.count("gaps")) {
-    options.snapshot_gaps = std::strtoull(args["gaps"].c_str(), nullptr, 10);
-  }
-  if (args.count("gap-width")) {
-    options.gap_width = std::strtoll(args["gap-width"].c_str(), nullptr, 10);
-  }
   if (args.count("truncate")) options.truncate_tail = args["truncate"] == "1";
-  if (args.count("sections")) {
-    options.cnb_sections = std::strtoull(args["sections"].c_str(), nullptr, 10);
-  }
 
   testing::FaultInjector injector(seed);
   testing::InjectionLog log;

@@ -33,6 +33,7 @@
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "worlds.hpp"
 
@@ -59,26 +60,21 @@ struct Options {
 }
 
 std::uint64_t parse_u64(const char* flag, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
+  const auto v = util::parse_u64(s);
+  if (!v) {
     std::fprintf(stderr, "error: %s='%s' is not an unsigned integer\n", flag, s);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 double parse_scale(const char* flag, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      v <= 0.0) {
+  const auto v = util::parse_double(s);
+  if (!v || *v <= 0.0) {
     std::fprintf(stderr, "error: %s='%s' is not a positive number\n", flag, s);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 Options parse_args(int argc, char** argv) {
